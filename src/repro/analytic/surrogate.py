@@ -37,6 +37,7 @@ extrapolation is trusted.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass
 from collections.abc import Sequence
@@ -95,6 +96,12 @@ class AnalyticContactModel(ContactTrace):
             raise ValueError(
                 "an analytic contact model needs an explicit positive horizon"
             )
+
+    def content_digest(self) -> str:
+        """The empty trace's digest with the meeting rate folded in: β is
+        what the surrogate reads in place of contacts."""
+        base = super().content_digest()
+        return hashlib.sha256(f"{base}:{float(self.beta).hex()}".encode()).hexdigest()
 
 
 def make_analytic_model(

@@ -8,9 +8,10 @@ gone. The :class:`CheckpointJournal` fixes that with two files in a
 ``manifest.json``
     Written atomically once, up front. Carries the journal schema
     version and the **campaign fingerprint** — master seed, loads,
-    replications, protocol labels, trace names, engine — so a resume
-    against the wrong campaign (different seed, different grid) is
-    refused instead of silently mixing results.
+    replications, protocol labels, the result-determining simulation
+    settings, and each trace's name and content digest — so a resume
+    against the wrong campaign (different seed, grid, settings or trace)
+    is refused instead of silently returning stale or mixed results.
 
 ``journal.jsonl``
     Append-only; one JSON record per *completed* cell, flushed and

@@ -10,7 +10,7 @@ paper gets implicitly by replaying the same trace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from collections.abc import Callable, Sequence
 
 import numpy as np
@@ -152,39 +152,60 @@ def build_cells(
     ]
 
 
+#: ``SimulationConfig`` fields that choose *how* a cell runs, never what it
+#: computes: the sweep kernel is byte-identical to the event engine.
+EXECUTION_ONLY_FIELDS = frozenset({"kernel"})
+
+
 def campaign_fingerprint(
     cells: Sequence[Cell], sweep: SweepConfig
 ) -> dict[str, object]:
     """JSON-safe identity of a sweep campaign, for the checkpoint manifest.
 
-    Two invocations that would produce different grids — different seed,
-    loads, replications, protocol set, traces, engine, or fault
-    environment — must produce different fingerprints, so a ``--resume``
-    against the wrong campaign directory is refused instead of silently
-    mixing results (e.g. faulted and unfaulted cells).
+    Two invocations that would produce different results must produce
+    different fingerprints, so a ``--resume`` against the wrong campaign
+    directory is refused instead of silently returning stale or mixed
+    results. The fingerprint therefore pins the sweep shape (seed, loads,
+    replications, trace sharing), the protocol labels, every
+    result-determining :class:`SimulationConfig` field, and each distinct
+    trace's content digest (:meth:`ContactTrace.content_digest`: contacts,
+    population and horizon — a trace *name* such as
+    ``rwp-subscriber(seed=1)`` is the same for 40 nodes and for 100).
 
-    The execution ``kernel`` is deliberately **excluded**: the sweep
-    kernel is byte-identical to the event engine, so a campaign may be
-    resumed under a different kernel setting without changing a single
-    result — the fingerprint identifies *what* is computed, not how
-    fast.
+    The fields in :data:`EXECUTION_ONLY_FIELDS` (the execution ``kernel``)
+    are deliberately **excluded**: the sweep kernel is byte-identical to
+    the event engine, so a campaign may be resumed under a different
+    kernel setting without changing a single result — the fingerprint
+    identifies *what* is computed, not how fast. Failure-policy settings
+    (retries, timeouts, ``on_error``) are not part of the sweep at all.
     """
     protocols: dict[str, None] = {}
-    traces: dict[str, None] = {}
+    traces: dict[int, ContactTrace] = {}
     for cell in cells:
         protocols.setdefault(cell.protocol.label, None)
-        traces.setdefault(cell.trace.name, None)
-    active = sweep.sim.active_faults
+        traces.setdefault(id(cell.trace), cell.trace)
+    sim: dict[str, object] = {}
+    for f in fields(sweep.sim):
+        if f.name in EXECUTION_ONLY_FIELDS:
+            continue
+        if f.name == "faults":
+            # a trivial spec normalises to None: it runs the identical grid
+            active = sweep.sim.active_faults
+            sim[f.name] = None if active is None else active.to_dict()
+        else:
+            value = getattr(sweep.sim, f.name)
+            # per-node settings are tuples; JSON holds them as lists
+            sim[f.name] = list(value) if isinstance(value, tuple) else value
     return {
         "master_seed": sweep.master_seed,
         "loads": [int(x) for x in sweep.loads],
         "replications": sweep.replications,
         "shared_trace": sweep.shared_trace,
-        "engine": sweep.sim.engine,
         "protocols": list(protocols),
-        "traces": list(traces),
-        # a trivial spec normalises to None: it runs the identical grid
-        "faults": None if active is None else active.to_dict(),
+        "traces": [
+            {"name": t.name, "sha256": t.content_digest()} for t in traces.values()
+        ],
+        **sim,
     }
 
 

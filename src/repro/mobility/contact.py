@@ -111,6 +111,7 @@ class ContactTrace:
     _streams: (
         tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None
     ) = field(init=False, repr=False, compare=False, default=None)
+    _digest: str | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
         if self.num_nodes < 2:
@@ -213,6 +214,25 @@ class ContactTrace:
             self._arrays = (starts, ends, a, b)
         return self._arrays
 
+    def content_digest(self) -> str:
+        """SHA-256 over everything a simulation reads from this trace: the
+        :meth:`contact_arrays` columns, ``num_nodes`` and ``horizon``.
+
+        Two traces with the same digest produce the same results, whatever
+        their names. Computed once per trace object and cached.
+        """
+        if self._digest is None:
+            import hashlib
+
+            import numpy as np
+
+            h = hashlib.sha256(f"{self.num_nodes}:{float(self.horizon).hex()}".encode())
+            dtypes = ("<f8", "<f8", "<i8", "<i8")
+            for col, dtype in zip(self.contact_arrays(), dtypes, strict=True):
+                h.update(np.ascontiguousarray(col, dtype=dtype).tobytes())
+            self._digest = h.hexdigest()
+        return self._digest
+
     def encounter_streams(
         self,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -311,6 +331,60 @@ class ContactTrace:
             horizon=horizon,
             name=name,
         )
+
+    @classmethod
+    def from_arrays(
+        cls,
+        starts: np.ndarray,
+        ends: np.ndarray,
+        a: np.ndarray,
+        b: np.ndarray,
+        num_nodes: int,
+        *,
+        horizon: float | None = None,
+        name: str = "",
+    ) -> ContactTrace:
+        """Build a trace from ``(start, end, a, b)`` columns.
+
+        The same trace, with the same checks, as building one
+        :class:`Contact` per row and passing the list to the constructor;
+        but the sort and the population and horizon checks run on the
+        columns, and the sorted columns become the :meth:`contact_arrays`
+        cache, so the columnar form costs nothing afterwards. Node ids
+        must be integers; each row is normalised to ``a < b``.
+        """
+        import numpy as np
+
+        lo, hi = np.asarray(a), np.asarray(b)
+        if lo.dtype.kind not in "iu" or hi.dtype.kind not in "iu":
+            raise ValueError("contact node columns must hold integers")
+        lo, hi = np.minimum(lo, hi).astype(np.intp), np.maximum(lo, hi).astype(np.intp)
+        s = np.asarray(starts, dtype=np.float64)
+        e = np.asarray(ends, dtype=np.float64)
+        if s.ndim != 1 or not s.shape == e.shape == lo.shape == hi.shape:
+            raise ValueError("contact columns must be 1-D and of equal length")
+        order = np.lexsort((hi, lo, e, s))
+        s, e, lo, hi = s[order], e[order], lo[order], hi[order]
+        starts_l = s.tolist()
+        contacts = list(map(Contact, starts_l, e.tolist(), lo.tolist(), hi.tolist()))
+        if num_nodes < 2:
+            raise ValueError(f"need at least 2 nodes, got {num_nodes}")
+        outside = np.flatnonzero((lo < 0) | (hi >= num_nodes))
+        if outside.size:
+            raise ValueError(
+                f"contact {contacts[int(outside[0])]} references nodes "
+                f"outside [0, {num_nodes})"
+            )
+        last_end = float(e.max()) if e.size else 0.0
+        if horizon is None:
+            horizon = last_end
+        elif horizon < last_end:
+            raise ValueError(f"horizon {horizon} precedes last contact end {last_end}")
+        trace = cls([], num_nodes, horizon=horizon, name=name)
+        trace.contacts = contacts
+        trace._starts = starts_l
+        trace._arrays = (s, e, lo, hi)
+        return trace
 
     def merged_with(self, other: ContactTrace) -> ContactTrace:
         """Union of two traces over the same population."""

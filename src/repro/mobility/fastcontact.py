@@ -3,20 +3,28 @@
 :func:`repro.mobility.trajectory.contacts_from_trajectories` historically
 solved the below-range quadratic once per overlapping segment pair in pure
 Python — an O(n²·segments) sweep that caps populations at a few dozen nodes.
-This module is the scalable engine behind its default ``engine="fast"`` path:
+This module is the scalable engine behind its default ``engine="fast"`` path.
+Every stage works on whole columns; no stage builds a Python object per
+segment, piece, candidate or window:
 
-1. **Packing** — every segment of every trajectory goes into flat NumPy
-   arrays (times, endpoints, owner node), so all later stages are
-   array-at-a-time.
+1. **Packing** — every trajectory already stores its segments as float64
+   columns (:class:`~repro.mobility.trajectory.Trajectory`); packing
+   concatenates them and tags each segment with its owner node.
 2. **Broad phase** — segments are split into *pieces* of bounded
    displacement and hashed into a uniform spatial grid keyed on the
-   piece's midpoint. Within each cell (and its forward half-neighbourhood)
-   a vectorized time-interval sweep joins only the pieces that genuinely
-   coexist in time, so far-apart or non-contemporaneous nodes never reach
-   the quadratic solver. The join is conservative: two nodes within
-   ``comm_range`` at time *t* always occupy pieces in cells at most one
-   apart whose (quantized) time intervals overlap (see
-   :func:`_candidate_segment_pairs`), so no contact can be lost.
+   piece's midpoint. Pieces are sorted once by (cell, quantized start
+   time). Same-cell pairs whose time intervals overlap are read off one
+   ``searchsorted`` per piece. For each of the four forward neighbour
+   offsets, two ``searchsorted`` range lookups into the same sorted keys
+   emit exactly the cross-cell pairs: piece *a* in a cell with every
+   piece *b* of the neighbour cell whose start lies in ``[start_a,
+   end_a]``, and *b* with every *a* whose start lies in ``(start_b,
+   end_b]``. Together these are all overlapping cross pairs, each once.
+   The join is conservative: two nodes within ``comm_range`` at time *t*
+   always occupy pieces in cells at most one apart whose (quantized) time
+   intervals overlap (see :func:`_candidate_segment_pairs`), so no contact
+   can be lost. Far-apart or non-contemporaneous nodes never reach the
+   quadratic solver.
 3. **Narrow phase** — the below-range quadratic is evaluated for all
    surviving segment pairs in batched NumPy, replicating the scalar
    arithmetic of :func:`~repro.mobility.trajectory._window_below_range`
@@ -24,19 +32,30 @@ This module is the scalable engine behind its default ``engine="fast"`` path:
    division and square root are correctly rounded in both scalar Python
    and NumPy float64, the produced windows are *bit-identical* to the
    ``engine="exact"`` reference, not merely close.
-
-Per-pair window merging, the encounter cap and the minimum-duration filter
-mirror the scalar fold in
-:func:`~repro.mobility.trajectory._merge_windows`, so the resulting
-:class:`ContactTrace` is exactly the one the reference path builds — only
-faster.
+4. **Fold** — per-pair window merging, the encounter cap and the
+   minimum-duration filter are array operations that reproduce the scalar
+   fold of :func:`~repro.mobility.trajectory._merge_windows` exactly (see
+   :func:`_fold_contacts`). The sorted contact columns go to
+   :meth:`ContactTrace.from_arrays`, so the trace's columnar form is
+   ready without a second pass over its :class:`Contact` objects.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from repro.mobility.contact import Contact, ContactTrace
+from repro.mobility.contact import ContactTrace
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from numpy.typing import NDArray
+
+    from repro.mobility.trajectory import Trajectory
+
+    FloatArray = NDArray[np.float64]
+    IntArray = NDArray[np.int64]
 
 #: Time-axis quantization of the broad-phase interval sweep. Piece times are
 #: ranked on a 2³¹-step grid over the trace span; the floor quantization is
@@ -48,83 +67,77 @@ _TIME_QUANTS = np.int64(1) << 31
 #: itself and these four offsets visits each adjacent cell pair exactly once.
 _FORWARD_OFFSETS = ((0, 1), (1, -1), (1, 0), (1, 1))
 
+#: Candidate segment pairs per narrow-phase batch. The phase holds about
+#: twenty float64 temporaries per pair, so batching bounds its memory.
+_NARROW_BATCH = 1 << 18
 
-def _pack_segments(trajectories):
-    """Flatten all trajectories' segments into parallel float64/int64 arrays."""
-    counts = [len(t.segments) for t in trajectories]
-    node = np.repeat(
-        np.asarray([t.node for t in trajectories], dtype=np.int64), counts
-    )
-    flat = [s for t in trajectories for s in t.segments]
-    t0 = np.asarray([s.t0 for s in flat], dtype=np.float64)
-    t1 = np.asarray([s.t1 for s in flat], dtype=np.float64)
-    x0 = np.asarray([s.x0 for s in flat], dtype=np.float64)
-    y0 = np.asarray([s.y0 for s in flat], dtype=np.float64)
-    x1 = np.asarray([s.x1 for s in flat], dtype=np.float64)
-    y1 = np.asarray([s.y1 for s in flat], dtype=np.float64)
+#: Gap within which two windows of one pair fuse (the scalar fold's ``gap``).
+_MERGE_GAP = 1e-9
+
+
+def _empty_int() -> IntArray:
+    return np.empty(0, dtype=np.int64)
+
+
+def _pack_segments(
+    trajectories: Sequence[Trajectory],
+) -> tuple[IntArray, FloatArray, FloatArray, FloatArray, FloatArray, FloatArray, FloatArray]:
+    """Concatenate all trajectories' segment columns, plus each segment's node."""
+    counts = [t.t0.size for t in trajectories]
+    node = np.repeat(np.asarray([t.node for t in trajectories], dtype=np.int64), counts)
+    t0 = np.concatenate([t.t0 for t in trajectories])
+    t1 = np.concatenate([t.t1 for t in trajectories])
+    x0 = np.concatenate([t.x0 for t in trajectories])
+    y0 = np.concatenate([t.y0 for t in trajectories])
+    x1 = np.concatenate([t.x1 for t in trajectories])
+    y1 = np.concatenate([t.y1 for t in trajectories])
     return node, t0, t1, x0, y0, x1, y1
 
 
-def _segmented_arange(counts: np.ndarray) -> np.ndarray:
+def _segmented_arange(counts: IntArray) -> IntArray:
     """``[0..counts[0]), [0..counts[1]), ...`` concatenated (vectorized)."""
     total = int(counts.sum())
     if total == 0:
-        return np.empty(0, dtype=np.int64)
+        return _empty_int()
     offsets = np.cumsum(counts) - counts
-    return np.arange(total, dtype=np.int64) - np.repeat(offsets, counts)
+    out: IntArray = np.arange(total, dtype=np.int64) - np.repeat(offsets, counts)
+    return out
 
 
-def _sweep_join(
-    group_id: np.ndarray, qlo: np.ndarray, qhi: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """All position pairs ``(i, j)``, ``i < j``, in the same group with
-    overlapping quantized time intervals.
-
-    Requires the arrays sorted by ``(group_id, qlo)``. Within a group the
-    intervals starting no later than ``qhi[i]`` form a contiguous run after
-    ``i`` (their ``qlo >= qlo[i]`` guarantees the symmetric condition), so
-    each element's partners are read off one ``searchsorted`` bound.
-    """
-    comp_lo = group_id * _TIME_QUANTS + qlo
-    comp_hi = group_id * _TIME_QUANTS + qhi
-    pos = np.arange(group_id.size, dtype=np.int64)
-    cnt = np.searchsorted(comp_lo, comp_hi, side="right") - pos - 1
-    total = int(cnt.sum())
-    if total == 0:
-        return (np.empty(0, dtype=np.int64),) * 2
-    first = np.repeat(pos, cnt)
-    second = np.repeat(pos + 1, cnt) + _segmented_arange(cnt)
-    return first, second
+def _pair_codes(
+    owner: IntArray,
+    lo: IntArray,
+    hi: IntArray,
+    pseg: IntArray,
+    pnode: IntArray,
+    nseg: int,
+) -> IntArray:
+    """Segment-pair codes ``min * nseg + max`` of the piece pairs
+    ``(owner[k], p)`` for every ``p`` in ``[lo[k], hi[k])``; pairs of
+    pieces of one node are dropped."""
+    cnt = hi - lo
+    first = np.repeat(owner, cnt)
+    second = np.repeat(lo, cnt) + _segmented_arange(cnt)
+    other = pnode[first] != pnode[second]
+    a, b = pseg[first[other]], pseg[second[other]]
+    codes: IntArray = np.minimum(a, b) * np.int64(nseg) + np.maximum(a, b)
+    return codes
 
 
-def _candidate_segment_pairs(
-    node: np.ndarray,
-    t0: np.ndarray,
-    t1: np.ndarray,
-    x0: np.ndarray,
-    y0: np.ndarray,
-    x1: np.ndarray,
-    y1: np.ndarray,
+def _pieces(
+    t0: FloatArray,
+    t1: FloatArray,
+    x0: FloatArray,
+    y0: FloatArray,
+    x1: FloatArray,
+    y1: FloatArray,
     comm_range: float,
-    *,
-    cell_size: float | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Broad phase: segment index pairs that *might* come within range.
-
-    Conservative by construction. Every piece has displacement at most
-    ``L`` (the piece cap), so any of its points lies within ``L/2`` of its
-    midpoint. If nodes A and B are within ``comm_range`` at time ``t``,
-    the pieces containing ``t`` have midpoints at most
-    ``L/2 + comm_range + L/2 = L + comm_range`` apart — which is the grid
-    pitch — so their anchor cells differ by at most one per axis, their
-    time intervals share ``t`` (floor quantization preserves interval
-    overlap), and the within-cell or half-neighbourhood sweep emits the
-    pair. No in-range pair is ever pruned.
-    """
+    cell_size: float | None,
+) -> tuple[IntArray, IntArray, int, IntArray, IntArray]:
+    """Split segments into pieces of displacement at most ``L``; return each
+    piece's segment, grid cell key, the key's row pitch, and its quantized
+    time interval ``[qlo, qhi]`` (see :func:`_candidate_segment_pairs`)."""
     nseg = t0.size
-    if nseg < 2:
-        return (np.empty(0, dtype=np.int64),) * 2
-
     tmin = float(t0.min())
     tmax = float(t1.max())
     span = max(tmax - tmin, 1e-9)
@@ -138,7 +151,6 @@ def _candidate_segment_pairs(
     L = cell_size if cell_size is not None else max(2.0 * comm_range, extent / 256.0)
     cell = L + comm_range
 
-    # --- split segments into pieces of displacement <= L --------------------
     seg_len = np.hypot(x1 - x0, y1 - y0)
     pieces_per_seg = np.maximum(1, np.ceil(seg_len / L).astype(np.int64))
     piece_seg = np.repeat(np.arange(nseg, dtype=np.int64), pieces_per_seg)
@@ -165,71 +177,93 @@ def _candidate_segment_pairs(
     scale = float(_TIME_QUANTS - 1) / span
     qlo = np.clip(((pt0 - tmin) * scale).astype(np.int64), 0, _TIME_QUANTS - 1)
     qhi = np.clip(((pt1 - tmin) * scale).astype(np.int64), 0, _TIME_QUANTS - 1)
+    return piece_seg, cellkey, nyp, qlo, qhi
 
+
+def _candidate_segment_pairs(
+    node: IntArray,
+    t0: FloatArray,
+    t1: FloatArray,
+    x0: FloatArray,
+    y0: FloatArray,
+    x1: FloatArray,
+    y1: FloatArray,
+    comm_range: float,
+    *,
+    cell_size: float | None = None,
+) -> tuple[IntArray, IntArray]:
+    """Broad phase: segment index pairs that *might* come within range.
+
+    Conservative by construction. Every piece has displacement at most
+    ``L`` (the piece cap), so any of its points lies within ``L/2`` of its
+    midpoint. If nodes A and B are within ``comm_range`` at time ``t``,
+    the pieces containing ``t`` have midpoints at most
+    ``L/2 + comm_range + L/2 = L + comm_range`` apart — which is the grid
+    pitch — so their anchor cells differ by at most one per axis, their
+    time intervals share ``t`` (floor quantization preserves interval
+    overlap), and the same-cell or forward-neighbour join emits the pair.
+    No in-range pair is ever pruned.
+
+    Returns the distinct pairs ``(a, b)``, ``a < b``, of segments of
+    different nodes, sorted by ``(a, b)``.
+    """
+    nseg = t0.size
+    if nseg < 2:
+        return _empty_int(), _empty_int()
+
+    piece_seg, cellkey, nyp, qlo, qhi = _pieces(
+        t0, t1, x0, y0, x1, y1, comm_range, cell_size
+    )
     order = np.lexsort((qlo, cellkey))
     ck = cellkey[order]
     ql = qlo[order]
     qh = qhi[order]
     pseg = piece_seg[order]
+    pnode = node[pseg]
 
     new_group = np.empty(ck.size, dtype=bool)
     new_group[0] = True
     np.not_equal(ck[1:], ck[:-1], out=new_group[1:])
     group_id = np.cumsum(new_group) - 1
-    starts = np.flatnonzero(new_group)
-    counts = np.diff(np.append(starts, ck.size))
-    uniq = ck[starts]
+    uniq = ck[new_group]
+    # one sorted key per piece: (group, quantized start) — every join below
+    # is a searchsorted range over it
+    base = group_id * _TIME_QUANTS
+    keys = base + ql
+    pos = np.arange(ck.size, dtype=np.int64)
 
-    pair_parts_a: list[np.ndarray] = []
-    pair_parts_b: list[np.ndarray] = []
+    # same cell: the pieces after p whose start lies within p's interval
+    hi = np.searchsorted(keys, base + qh, side="right")
+    codes = [_pair_codes(pos, pos + 1, hi, pseg, pnode, nseg)]
 
-    # within-cell: exact interval sweep
-    f_pos, s_pos = _sweep_join(group_id, ql, qh)
-    if f_pos.size:
-        pair_parts_a.append(pseg[f_pos])
-        pair_parts_b.append(pseg[s_pos])
-
-    # forward-neighbour cells: interval sweep over the two groups' union
+    # forward-neighbour cells: both directions of the cross-cell overlap
     for ox, oy in _FORWARD_OFFSETS:
         target = uniq + ox * nyp + oy
-        idx = np.searchsorted(uniq, target)
-        idx_c = np.minimum(idx, uniq.size - 1)
-        valid = uniq[idx_c] == target
-        if not valid.any():
+        idx = np.minimum(np.searchsorted(uniq, target), uniq.size - 1)
+        has = uniq[idx] == target
+        if not has.any():
             continue
-        ga = np.flatnonzero(valid)
-        gb = idx_c[ga]
-        ca, cb = counts[ga], counts[gb]
-        usz = ca + cb
-        join_id = np.repeat(np.arange(ga.size, dtype=np.int64), usz)
-        loc = _segmented_arange(usz)
-        ca_rep = np.repeat(ca, usz)
-        from_a = loc < ca_rep
-        pos = np.where(
-            from_a,
-            np.repeat(starts[ga], usz) + loc,
-            np.repeat(starts[gb], usz) + loc - ca_rep,
-        )
-        sub = np.lexsort((ql[pos], join_id))
-        pos = pos[sub]
-        side = from_a[sub]
-        f_pos, s_pos = _sweep_join(join_id, ql[pos], qh[pos])
-        if f_pos.size == 0:
-            continue
-        cross = side[f_pos] != side[s_pos]
-        if cross.any():
-            pair_parts_a.append(pseg[pos[f_pos[cross]]])
-            pair_parts_b.append(pseg[pos[s_pos[cross]]])
+        # neighbour group of every piece whose own group has one (-1: none)
+        nbr = np.where(has, idx, -1)[group_id]
+        src_a = np.flatnonzero(nbr >= 0)
+        nb_base = nbr[src_a] * _TIME_QUANTS
+        # (a, b): b's start in [start_a, end_a]
+        lo = np.searchsorted(keys, nb_base + ql[src_a], side="left")
+        hi = np.searchsorted(keys, nb_base + qh[src_a], side="right")
+        codes.append(_pair_codes(src_a, lo, hi, pseg, pnode, nseg))
+        # (b, a): a's start in (start_b, end_b], b found from its own side
+        back = np.full(uniq.size, -1, dtype=np.int64)
+        back[idx[has]] = np.flatnonzero(has)
+        prv = back[group_id]
+        src_b = np.flatnonzero(prv >= 0)
+        pv_base = prv[src_b] * _TIME_QUANTS
+        lo = np.searchsorted(keys, pv_base + ql[src_b], side="right")
+        hi = np.searchsorted(keys, pv_base + qh[src_b], side="right")
+        codes.append(_pair_codes(src_b, lo, hi, pseg, pnode, nseg))
 
-    if not pair_parts_a:
-        return (np.empty(0, dtype=np.int64),) * 2
-    a_seg = np.concatenate(pair_parts_a)
-    b_seg = np.concatenate(pair_parts_b)
-
-    # Drop same-node pairs, canonicalise, and de-duplicate across cells.
-    keep = node[a_seg] != node[b_seg]
-    a_seg, b_seg = a_seg[keep], b_seg[keep]
-    pair_code = np.minimum(a_seg, b_seg) * np.int64(nseg) + np.maximum(a_seg, b_seg)
+    # de-duplicate across pieces (sort + neighbour mask: np.unique's hash
+    # path is far slower here)
+    pair_code = np.concatenate(codes)
     pair_code.sort()
     if pair_code.size:
         first_seen = np.empty(pair_code.size, dtype=bool)
@@ -240,18 +274,50 @@ def _candidate_segment_pairs(
 
 
 def _batched_windows(
-    A: np.ndarray,
-    B: np.ndarray,
-    node: np.ndarray,
-    t0: np.ndarray,
-    t1: np.ndarray,
-    x0: np.ndarray,
-    y0: np.ndarray,
-    x1: np.ndarray,
-    y1: np.ndarray,
+    A: IntArray,
+    B: IntArray,
+    node: IntArray,
+    t0: FloatArray,
+    t1: FloatArray,
+    x0: FloatArray,
+    y0: FloatArray,
+    x1: FloatArray,
+    y1: FloatArray,
     range_sq: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Narrow phase: below-range windows for candidate segment pairs.
+) -> tuple[FloatArray, FloatArray, IntArray, IntArray]:
+    """Narrow phase over all candidates, :data:`_NARROW_BATCH` pairs at a
+    time (each pair's window is computed independently of the others)."""
+    batches = [
+        _window_batch(
+            A[i : i + _NARROW_BATCH], B[i : i + _NARROW_BATCH],
+            node, t0, t1, x0, y0, x1, y1, range_sq,
+        )
+        for i in range(0, A.size, _NARROW_BATCH)
+    ]
+    if not batches:
+        return _window_batch(A, B, node, t0, t1, x0, y0, x1, y1, range_sq)
+    starts, ends, na, nb_ = zip(*batches, strict=True)
+    return (
+        np.concatenate(starts),
+        np.concatenate(ends),
+        np.concatenate(na),
+        np.concatenate(nb_),
+    )
+
+
+def _window_batch(
+    A: IntArray,
+    B: IntArray,
+    node: IntArray,
+    t0: FloatArray,
+    t1: FloatArray,
+    x0: FloatArray,
+    y0: FloatArray,
+    x1: FloatArray,
+    y1: FloatArray,
+    range_sq: float,
+) -> tuple[FloatArray, FloatArray, IntArray, IntArray]:
+    """Below-range windows for one batch of candidate segment pairs.
 
     Replicates :func:`repro.mobility.trajectory._window_below_range`
     operation-for-operation in float64 so results are bit-identical to the
@@ -261,8 +327,8 @@ def _batched_windows(
     empty = (
         np.empty(0, dtype=np.float64),
         np.empty(0, dtype=np.float64),
-        np.empty(0, dtype=np.int64),
-        np.empty(0, dtype=np.int64),
+        _empty_int(),
+        _empty_int(),
     )
     ov0 = np.maximum(t0[A], t0[B])
     ov1 = np.minimum(t1[A], t1[B])
@@ -290,10 +356,10 @@ def _batched_windows(
     span = ov1 - ov0
 
     const = a < 1e-15  # no relative motion: distance constant
-    starts_parts: list[np.ndarray] = []
-    ends_parts: list[np.ndarray] = []
-    na_parts: list[np.ndarray] = []
-    nb_parts: list[np.ndarray] = []
+    starts_parts: list[FloatArray] = []
+    ends_parts: list[FloatArray] = []
+    na_parts: list[IntArray] = []
+    nb_parts: list[IntArray] = []
 
     mc = const & (c <= 0.0)
     if mc.any():
@@ -334,67 +400,63 @@ def _batched_windows(
 
 
 def _fold_contacts(
-    starts: np.ndarray,
-    ends: np.ndarray,
-    na: np.ndarray,
-    nb_: np.ndarray,
+    starts: FloatArray,
+    ends: FloatArray,
+    na: IntArray,
+    nb_: IntArray,
     *,
     contact_cap: float | None,
     min_duration: float,
-) -> list[Contact]:
-    """Merge per-pair windows and emit contacts in (start, end, a, b) order.
+) -> tuple[FloatArray, FloatArray, IntArray, IntArray]:
+    """Merge per-pair windows; return contact columns in (start, end, a, b) order.
 
-    One pass over the windows sorted by (pair, start, end) — the same
-    order and fold as :func:`~repro.mobility.trajectory._merge_windows`
-    (gap 1e-9), followed by the scalar path's cap and minimum-duration
-    filter, so the emitted contacts are identical to the reference. The
-    final numeric pre-sort means :class:`ContactTrace`'s own ``sorted()``
-    sees already-ordered data instead of comparing dataclasses pairwise.
+    The scalar fold (:func:`~repro.mobility.trajectory._merge_windows`)
+    walks one pair's windows in (start, end) order and opens a new contact
+    whenever ``start > current_end + gap``, where ``current_end`` is the
+    largest end seen so far in the contact. Within a pair that running
+    value is the prefix maximum of all earlier ends: a new contact opens
+    only past every earlier end. So a window opens a contact exactly when
+    it is its pair's first or ``start > prefix_max(previous ends) + gap``.
+    The prefix maximum is taken over integer ranks of the ends, offset by
+    pair, so it is an exact maximum of the float ends within each pair
+    (no float offset ever enters the comparison). Each contact's end is
+    the maximum end of its windows; the cap and the minimum-duration
+    filter then apply per contact, as in the scalar path.
     """
     if starts.size == 0:
-        return []
+        return starts, ends, na, nb_
     order = np.lexsort((ends, starts, nb_, na))
-    s_l = starts[order].tolist()
-    e_l = ends[order].tolist()
-    a_l = na[order].tolist()
-    b_l = nb_[order].tolist()
+    s, e, a, b = starts[order], ends[order], na[order], nb_[order]
+    n = s.size
 
-    out_s: list[float] = []
-    out_e: list[float] = []
-    out_a: list[int] = []
-    out_b: list[int] = []
+    new_pair = np.empty(n, dtype=bool)
+    new_pair[0] = True
+    new_pair[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
+    pair_id = np.cumsum(new_pair) - 1
 
-    def emit(i: int, j: int, s: float, e: float) -> None:
-        if contact_cap is not None:
-            e = min(e, s + contact_cap)
-        if e - s >= min_duration:
-            out_s.append(s)
-            out_e.append(e)
-            out_a.append(i)
-            out_b.append(j)
+    by_end = np.argsort(e, kind="stable")
+    rank = np.empty(n, dtype=np.int64)
+    rank[by_end] = np.arange(n, dtype=np.int64)
+    # pair ids increase along the array, so a running max of the offset
+    # ranks never carries a value across a pair boundary
+    prefix_max = e[by_end[np.maximum.accumulate(pair_id * n + rank) - pair_id * n]]
 
-    cur_a, cur_b = a_l[0], b_l[0]
-    cur_s, cur_e = s_l[0], e_l[0]
-    for s, e, i, j in zip(s_l[1:], e_l[1:], a_l[1:], b_l[1:], strict=True):
-        if i == cur_a and j == cur_b and s <= cur_e + 1e-9:
-            if e > cur_e:
-                cur_e = e
-        else:
-            emit(cur_a, cur_b, cur_s, cur_e)
-            cur_a, cur_b, cur_s, cur_e = i, j, s, e
-    emit(cur_a, cur_b, cur_s, cur_e)
-
-    final = np.lexsort(
-        (np.asarray(out_b), np.asarray(out_a), np.asarray(out_e), np.asarray(out_s))
-    )
-    return [
-        Contact(start=out_s[k], end=out_e[k], a=out_a[k], b=out_b[k])
-        for k in final.tolist()
-    ]
+    opens = new_pair.copy()
+    opens[1:] |= s[1:] > prefix_max[:-1] + _MERGE_GAP
+    first = np.flatnonzero(opens)
+    c_s = s[first]
+    c_e = np.maximum.reduceat(e, first)
+    c_a, c_b = a[first], b[first]
+    if contact_cap is not None:
+        c_e = np.minimum(c_e, c_s + contact_cap)
+    keep = c_e - c_s >= min_duration
+    c_s, c_e, c_a, c_b = c_s[keep], c_e[keep], c_a[keep], c_b[keep]
+    final = np.lexsort((c_b, c_a, c_e, c_s))
+    return c_s[final], c_e[final], c_a[final], c_b[final]
 
 
 def extract_contacts_fast(
-    trajectories,
+    trajectories: Sequence[Trajectory],
     comm_range: float,
     *,
     contact_cap: float | None = 500.0,
@@ -422,13 +484,12 @@ def extract_contacts_fast(
     A, B = _candidate_segment_pairs(
         node, t0, t1, x0, y0, x1, y1, comm_range, cell_size=cell_size
     )
-    starts, ends, na, nb_ = _batched_windows(
-        A, B, node, t0, t1, x0, y0, x1, y1, comm_range * comm_range
-    )
-    contacts = _fold_contacts(
-        starts, ends, na, nb_, contact_cap=contact_cap, min_duration=min_duration
+    windows = _batched_windows(A, B, node, t0, t1, x0, y0, x1, y1, comm_range * comm_range)
+    starts, ends, a, b = _fold_contacts(
+        *windows, contact_cap=contact_cap, min_duration=min_duration
     )
     if horizon is None:
         horizon = max(t.end_time for t in trajectories)
-    horizon = max(horizon, max((c.end for c in contacts), default=0.0))
-    return ContactTrace(contacts, n, horizon=horizon, name=name)
+    if ends.size:
+        horizon = max(horizon, float(ends.max()))
+    return ContactTrace.from_arrays(starts, ends, a, b, n, horizon=horizon, name=name)

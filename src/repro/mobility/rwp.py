@@ -28,7 +28,6 @@ import numpy as np
 from repro.mobility.contact import ContactTrace
 from repro.mobility.trajectory import (
     CONTACT_ENGINES,
-    Segment,
     Trajectory,
     contacts_from_trajectories,
 )
@@ -105,17 +104,17 @@ class SubscriberPointRWP:
         c = self.config
         return rng.uniform(0.0, c.area_side, size=(c.num_subscriber_points, 2))
 
-    def _neighbour_lists(self, points: np.ndarray) -> list[np.ndarray]:
+    def _neighbour_lists(self, points: np.ndarray) -> list[list[int]]:
         """For each point, the candidate next-hop points within max distance."""
         c = self.config
         diff = points[:, None, :] - points[None, :, :]
         dist = np.hypot(diff[..., 0], diff[..., 1])
-        out: list[np.ndarray] = []
+        out: list[list[int]] = []
         for i in range(len(points)):
             mask = (dist[i] <= c.max_hop_distance) & (dist[i] > 0.0)
-            cand = np.flatnonzero(mask)
-            if cand.size == 0:  # isolated point: allow any other point
-                cand = np.array([j for j in range(len(points)) if j != i])
+            cand = np.flatnonzero(mask).tolist()
+            if not cand:  # isolated point: allow any other point
+                cand = [j for j in range(len(points)) if j != i]
             out.append(cand)
         return out
 
@@ -123,59 +122,65 @@ class SubscriberPointRWP:
         self,
         node: int,
         points: np.ndarray,
-        neighbours: list[np.ndarray],
+        hop: list[list[float]],
+        neighbours: list[list[int]],
         rng: np.random.Generator,
     ) -> Trajectory:
+        """One node's walk, appended as plain floats to a flat row list.
+
+        Each step draws, in order: the pause, the next hop, the travel
+        time — that order defines the trace. ``lo + (hi - lo) *
+        rng.random()`` is how :meth:`numpy.random.Generator.uniform`
+        computes its draw, and ``cand[rng.integers(len(cand))]`` is how
+        :meth:`~numpy.random.Generator.choice` picks, so both consume and
+        return exactly what those calls would, without their overhead.
+        """
         c = self.config
-        segments: list[Segment] = []
+        horizon = c.horizon
+        px, py = points[:, 0].tolist(), points[:, 1].tolist()
+        random, integers = rng.random, rng.integers
+        pause_span = c.max_pause - 0.0
+        travel_lo = c.min_travel_time
+        travel_span = c.max_travel_time - c.min_travel_time
+        rows: list[float] = []  # t0, t1, x0, y0, x1, y1 per segment
         t = 0.0
-        here = int(rng.integers(len(points)))
-        while t < c.horizon:
+        here = int(integers(len(points)))
+        while t < horizon:
             # pause at the current subscriber point
-            pause = float(rng.uniform(0.0, c.max_pause))
+            pause = 0.0 + pause_span * random()
             if pause > 0.0:
-                end = min(t + pause, c.horizon)
+                end = min(t + pause, horizon)
                 if end > t:
-                    x, y = points[here]
-                    segments.append(Segment(t, end, x, y, x, y))
+                    x, y = px[here], py[here]
+                    rows += (t, end, x, y, x, y)
                     t = end
-                if t >= c.horizon:
+                if t >= horizon:
                     break
             # travel to a random neighbouring subscriber point
-            nxt = int(rng.choice(neighbours[here]))
-            dist = float(np.hypot(*(points[nxt] - points[here])))
-            travel = float(rng.uniform(c.min_travel_time, c.max_travel_time))
-            travel = max(travel, dist / c.max_speed)  # speed <= max_speed
-            end = min(t + travel, c.horizon)
+            cand = neighbours[here]
+            nxt = cand[int(integers(len(cand)))]
+            travel = travel_lo + travel_span * random()
+            travel = max(travel, hop[here][nxt] / c.max_speed)  # speed <= max_speed
+            end = min(t + travel, horizon)
             if end > t:
-                x0, y0 = points[here]
-                x1, y1 = points[nxt]
+                x0, y0, x1, y1 = px[here], py[here], px[nxt], py[nxt]
                 if end < t + travel:  # clipped at horizon: interpolate endpoint
                     frac = (end - t) / travel
                     x1 = x0 + frac * (x1 - x0)
                     y1 = y0 + frac * (y1 - y0)
-                segments.append(Segment(t, end, x0, y0, float(x1), float(y1)))
+                rows += (t, end, x0, y0, x1, y1)
                 t = end
             here = nxt
-        if not segments:  # degenerate horizon: stand still
-            x, y = points[here]
-            segments.append(Segment(0.0, c.horizon, x, y, x, y))
-        return Trajectory(node, segments)
+        if not rows:  # degenerate horizon: stand still
+            x, y = px[here], py[here]
+            rows += (0.0, horizon, x, y, x, y)
+        return Trajectory.from_columns(node, *np.array(rows).reshape(-1, 6).T)
 
     def generate(self) -> ContactTrace:
         """Produce the full contact trace for this configuration."""
         c = self.config
-        rng = np.random.default_rng(
-            np.random.SeedSequence([self.seed & 0xFFFFFFFF, 0x5297])
-        )
-        points = self._place_points(rng)
-        neighbours = self._neighbour_lists(points)
-        trajectories = [
-            self._node_trajectory(i, points, neighbours, rng)
-            for i in range(c.num_nodes)
-        ]
         return contacts_from_trajectories(
-            trajectories,
+            self.generate_trajectories(),
             c.comm_range,
             contact_cap=c.contact_cap,
             horizon=c.horizon,
@@ -184,15 +189,19 @@ class SubscriberPointRWP:
         )
 
     def generate_trajectories(self) -> list[Trajectory]:
-        """Expose raw trajectories (used by tests and visual inspection)."""
+        """Every node's trajectory (the input of contact extraction)."""
         c = self.config
         rng = np.random.default_rng(
             np.random.SeedSequence([self.seed & 0xFFFFFFFF, 0x5297])
         )
         points = self._place_points(rng)
+        # hop[i][j] == np.hypot(*(points[j] - points[i])), element for element
+        hop = np.hypot(
+            points[None, :, 0] - points[:, None, 0], points[None, :, 1] - points[:, None, 1]
+        ).tolist()
         neighbours = self._neighbour_lists(points)
         return [
-            self._node_trajectory(i, points, neighbours, rng)
+            self._node_trajectory(i, points, hop, neighbours, rng)
             for i in range(c.num_nodes)
         ]
 
@@ -227,6 +236,12 @@ class ClassicRWPConfig:
             raise ValueError("min_speed must be > 0 (zero speed stalls the model)")
         if self.max_speed < self.min_speed:
             raise ValueError("max_speed must be >= min_speed")
+        if self.num_nodes < 2:
+            raise ValueError("num_nodes must be >= 2")
+        if self.horizon <= 0:
+            raise ValueError("horizon must be positive")
+        if self.comm_range <= 0:
+            raise ValueError("comm_range must be positive")
 
 
 class ClassicRWP:
@@ -237,49 +252,61 @@ class ClassicRWP:
         self.seed = seed
 
     def _node_trajectory(self, node: int, rng: np.random.Generator) -> Trajectory:
+        """One node's walk; draws as :class:`SubscriberPointRWP` does
+        (``lo + (hi - lo) * rng.random()`` is ``rng.uniform(lo, hi)``)."""
         c = self.config
-        segments: list[Segment] = []
+        horizon = c.horizon
+        random = rng.random
+        side = c.area_side - 0.0
+        speed_span = c.max_speed - c.min_speed
+        pause_span = c.max_pause - 0.0
+        rows: list[float] = []  # t0, t1, x0, y0, x1, y1 per segment
         t = 0.0
-        x, y = rng.uniform(0.0, c.area_side, size=2)
-        while t < c.horizon:
-            tx, ty = rng.uniform(0.0, c.area_side, size=2)
-            speed = float(rng.uniform(c.min_speed, c.max_speed))
+        x = 0.0 + side * random()
+        y = 0.0 + side * random()
+        while t < horizon:
+            tx = 0.0 + side * random()
+            ty = 0.0 + side * random()
+            speed = c.min_speed + speed_span * random()
             dist = math.hypot(tx - x, ty - y)
             travel = dist / speed if dist > 0 else 0.0
             if travel > 0:
-                end = min(t + travel, c.horizon)
+                end = min(t + travel, horizon)
                 fx, fy = tx, ty
                 if end < t + travel:
                     frac = (end - t) / travel
                     fx = x + frac * (tx - x)
                     fy = y + frac * (ty - y)
-                segments.append(Segment(t, end, float(x), float(y), float(fx), float(fy)))
+                rows += (t, end, x, y, fx, fy)
                 t = end
                 x, y = fx, fy
-                if t >= c.horizon:
+                if t >= horizon:
                     break
-            pause = float(rng.uniform(0.0, c.max_pause))
+            pause = 0.0 + pause_span * random()
             if pause > 0:
-                end = min(t + pause, c.horizon)
+                end = min(t + pause, horizon)
                 if end > t:
-                    segments.append(Segment(t, end, float(x), float(y), float(x), float(y)))
+                    rows += (t, end, x, y, x, y)
                     t = end
-        if not segments:
-            segments.append(Segment(0.0, c.horizon, float(x), float(y), float(x), float(y)))
-        return Trajectory(node, segments)
+        if not rows:
+            rows += (0.0, horizon, x, y, x, y)
+        return Trajectory.from_columns(node, *np.array(rows).reshape(-1, 6).T)
 
     def generate(self) -> ContactTrace:
         """Produce the contact trace."""
         c = self.config
-        rng = np.random.default_rng(
-            np.random.SeedSequence([self.seed & 0xFFFFFFFF, 0xC1A5])
-        )
-        trajectories = [self._node_trajectory(i, rng) for i in range(c.num_nodes)]
         return contacts_from_trajectories(
-            trajectories,
+            self.generate_trajectories(),
             c.comm_range,
             contact_cap=c.contact_cap,
             horizon=c.horizon,
             name=f"rwp-classic(seed={self.seed})",
             engine=c.engine,
         )
+
+    def generate_trajectories(self) -> list[Trajectory]:
+        """Every node's trajectory (the input of contact extraction)."""
+        rng = np.random.default_rng(
+            np.random.SeedSequence([self.seed & 0xFFFFFFFF, 0xC1A5])
+        )
+        return [self._node_trajectory(i, rng) for i in range(self.config.num_nodes)]

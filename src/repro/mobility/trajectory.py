@@ -12,11 +12,19 @@ a sampling detector would have.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from collections.abc import Sequence
+from typing import TYPE_CHECKING, overload
+
+import numpy as np
 
 from repro.mobility.contact import Contact, ContactTrace
 from repro.mobility.fastcontact import extract_contacts_fast
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from numpy.typing import ArrayLike, NDArray
+
+    FloatArray = NDArray[np.float64]
 
 
 @dataclass(frozen=True, slots=True)
@@ -58,48 +66,161 @@ class Segment:
         return (self.x0 + s * (self.x1 - self.x0), self.y0 + s * (self.y1 - self.y0))
 
 
+def _isclose(
+    a: FloatArray, b: FloatArray, *, rel_tol: float, abs_tol: float
+) -> NDArray[np.bool_]:
+    """Element-wise :func:`math.isclose`, with its exact semantics: equal
+    values (infinities included) are close, any other infinity is not."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        diff = np.abs(b - a)
+        within = (
+            (diff <= np.abs(rel_tol * b))
+            | (diff <= np.abs(rel_tol * a))
+            | (diff <= abs_tol)
+        )
+        close: NDArray[np.bool_] = (a == b) | (within & np.isfinite(a) & np.isfinite(b))
+    return close
+
+
+class _SegmentView(Sequence[Segment]):
+    """A trajectory's segments as :class:`Segment` objects.
+
+    ``len()`` reads the columns; the objects themselves are built on the
+    first element access (the scalar ``engine="exact"`` sweep and tests
+    are their only consumers).
+    """
+
+    __slots__ = ("_columns", "_items")
+
+    def __init__(
+        self, columns: tuple[FloatArray, ...], items: list[Segment] | None
+    ) -> None:
+        self._columns = columns
+        self._items = items
+
+    def _list(self) -> list[Segment]:
+        if self._items is None:
+            t0, t1, x0, y0, x1, y1 = (c.tolist() for c in self._columns)
+            self._items = [Segment(*row) for row in zip(t0, t1, x0, y0, x1, y1, strict=True)]
+        return self._items
+
+    def __len__(self) -> int:
+        return int(self._columns[0].size)
+
+    @overload
+    def __getitem__(self, index: int) -> Segment: ...
+
+    @overload
+    def __getitem__(self, index: slice) -> list[Segment]: ...
+
+    def __getitem__(self, index: int | slice) -> Segment | list[Segment]:
+        return self._list()[index]
+
+    def __iter__(self) -> Iterator[Segment]:
+        return iter(self._list())
+
+
 class Trajectory:
-    """A node's full movement: contiguous segments covering [start, end]."""
+    """A node's full movement: contiguous segments covering [start, end].
+
+    Stored column-wise: ``t0, t1, x0, y0, x1, y1`` are read-only float64
+    arrays with one entry per segment, which the vectorized extractor
+    concatenates without touching a Python object. Build one from
+    :class:`Segment` objects (``Trajectory(node, segments)``) or straight
+    from columns (:meth:`from_columns`, what the RWP generators use); both
+    enforce the same invariants — every segment has ``t1 > t0``, and
+    consecutive segments meet in time (``abs_tol=1e-9``) and in space
+    (``math.isclose`` with ``abs_tol=1e-6``).
+    """
+
+    __slots__ = ("node", "t0", "t1", "x0", "y0", "x1", "y1", "_view")
 
     def __init__(self, node: int, segments: Sequence[Segment]) -> None:
         if not segments:
             raise ValueError("trajectory needs at least one segment")
-        for prev, nxt in zip(segments, segments[1:], strict=False):
-            if not math.isclose(prev.t1, nxt.t0, rel_tol=0, abs_tol=1e-9):
+        items = list(segments)
+        columns = [
+            [s.t0 for s in items],
+            [s.t1 for s in items],
+            [s.x0 for s in items],
+            [s.y0 for s in items],
+            [s.x1 for s in items],
+            [s.y1 for s in items],
+        ]
+        self._install(node, columns, items)
+
+    @classmethod
+    def from_columns(
+        cls,
+        node: int,
+        t0: ArrayLike,
+        t1: ArrayLike,
+        x0: ArrayLike,
+        y0: ArrayLike,
+        x1: ArrayLike,
+        y1: ArrayLike,
+    ) -> Trajectory:
+        """Build a trajectory from per-segment columns (one entry per segment)."""
+        traj = cls.__new__(cls)
+        traj._install(node, [t0, t1, x0, y0, x1, y1], None)
+        return traj
+
+    def _install(
+        self, node: int, columns: Sequence[ArrayLike], items: list[Segment] | None
+    ) -> None:
+        cols: tuple[FloatArray, ...] = tuple(np.array(c, dtype=np.float64) for c in columns)
+        t0, t1, x0, y0, x1, y1 = cols
+        if t0.ndim != 1 or any(c.shape != t0.shape for c in cols):
+            raise ValueError("trajectory columns must be 1-D and of equal length")
+        if t0.size == 0:
+            raise ValueError("trajectory needs at least one segment")
+        bad = np.flatnonzero(~(t1 > t0))
+        if bad.size:
+            i = int(bad[0])
+            raise ValueError(
+                f"segment requires t1 > t0, got [{float(t0[i])}, {float(t1[i])}]"
+            )
+        timed = _isclose(t1[:-1], t0[1:], rel_tol=0.0, abs_tol=1e-9)
+        placed = _isclose(x1[:-1], x0[1:], rel_tol=1e-9, abs_tol=1e-6) & _isclose(
+            y1[:-1], y0[1:], rel_tol=1e-9, abs_tol=1e-6
+        )
+        broken = np.flatnonzero(~(timed & placed))
+        if broken.size:
+            i = int(broken[0])
+            if not timed[i]:
                 raise ValueError(
-                    f"segments not contiguous: {prev.t1} -> {nxt.t0}"
+                    f"segments not contiguous: {float(t1[i])} -> {float(t0[i + 1])}"
                 )
-            if not (
-                math.isclose(prev.x1, nxt.x0, abs_tol=1e-6)
-                and math.isclose(prev.y1, nxt.y0, abs_tol=1e-6)
-            ):
-                raise ValueError("segments not spatially contiguous")
+            raise ValueError("segments not spatially contiguous")
+        for c in cols:
+            c.flags.writeable = False
         self.node = node
-        self.segments = list(segments)
+        self.t0, self.t1, self.x0, self.y0, self.x1, self.y1 = cols
+        self._view = _SegmentView(cols, items)
+
+    @property
+    def segments(self) -> Sequence[Segment]:
+        """The segments as :class:`Segment` objects (built on first access)."""
+        return self._view
 
     @property
     def start_time(self) -> float:
-        return self.segments[0].t0
+        return float(self.t0[0])
 
     @property
     def end_time(self) -> float:
-        return self.segments[-1].t1
+        return float(self.t1[-1])
 
     def position(self, t: float) -> tuple[float, float]:
-        """Position at time ``t`` by binary search over segments."""
+        """Position at time ``t``, in the first segment ending at or after it."""
         if not (self.start_time <= t <= self.end_time):
             raise ValueError(f"t={t} outside trajectory span")
-        lo, hi = 0, len(self.segments) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.segments[mid].t1 < t:
-                lo = mid + 1
-            else:
-                hi = mid
-        return self.segments[lo].position(t)
+        i = int(np.searchsorted(self.t1, t, side="left"))
+        return self.segments[i].position(t)
 
     def max_speed(self) -> float:
-        return max(s.speed for s in self.segments)
+        speeds = np.hypot(self.x1 - self.x0, self.y1 - self.y0) / (self.t1 - self.t0)
+        return float(speeds.max())
 
 
 def _window_below_range(

@@ -314,3 +314,106 @@ class TestAtomicWrite:
         target = tmp_path / "rows.csv"
         atomic_write(target, lambda fh: fh.write("a\r\n"), newline="")
         assert target.read_bytes() == b"a\r\n"
+
+
+class TestResumeRefusesStaleResults:
+    """A resume must refuse whenever anything that determines a result
+    changed — every result-affecting ``SimulationConfig`` field and the
+    trace's content — and must proceed when only the execution kernel did."""
+
+    #: one changed value per result-affecting SimulationConfig field
+    MUTATIONS = {
+        "buffer_capacity": 3,
+        "bundle_tx_time": 50.0,
+        "drop_policy": "drop-oldest",
+        "record_occupancy": True,
+        "engine": "ode",
+        "faults": "churn",
+    }
+
+    def _sweep(self, sim=None):
+        from repro.core.simulation import SimulationConfig
+
+        return SweepConfig(
+            loads=(2,), replications=2, master_seed=5, sim=sim or SimulationConfig()
+        )
+
+    def _campaign(self, tmp_path, trace=None):
+        from repro.core.sweep import run_sweep
+
+        trace = trace or micro_trace(CHAIN_ROWS, 4, name="chain")
+        protos = [make_protocol_config("pure")]
+        result = run_sweep(trace, protos, self._sweep(), checkpoint=tmp_path / "camp")
+        return trace, protos, result
+
+    def _resume(self, tmp_path, trace, protos, sweep):
+        from repro.core.executors import SerialExecutor
+        from repro.core.sweep import run_sweep
+
+        def refuse(cell):
+            raise AssertionError("resume re-executed a journaled cell")
+
+        return run_sweep(
+            trace,
+            protos,
+            sweep,
+            executor=SerialExecutor(task=refuse),
+            checkpoint=CheckpointJournal(tmp_path / "camp", resume=True),
+        )
+
+    def test_every_result_field_is_mutated(self):
+        from dataclasses import fields
+
+        from repro.core.simulation import SimulationConfig
+        from repro.core.sweep import EXECUTION_ONLY_FIELDS
+
+        result_fields = {f.name for f in fields(SimulationConfig)} - EXECUTION_ONLY_FIELDS
+        assert result_fields == set(self.MUTATIONS)
+        assert EXECUTION_ONLY_FIELDS == {"kernel"}
+
+    @pytest.mark.parametrize("field_name", sorted(MUTATIONS))
+    def test_mutated_result_field_refused(self, tmp_path, field_name):
+        import dataclasses
+
+        from repro.core.simulation import SimulationConfig
+        from repro.faults import FaultSpec
+
+        trace, protos, _ = self._campaign(tmp_path)
+        value = self.MUTATIONS[field_name]
+        if field_name == "faults":
+            value = FaultSpec(churn_rate=1e-4, mean_downtime=500.0)
+        sim = dataclasses.replace(SimulationConfig(), **{field_name: value})
+        with pytest.raises(CheckpointError, match="fingerprint mismatch"):
+            self._resume(tmp_path, trace, protos, self._sweep(sim))
+
+    def test_same_name_different_contacts_refused(self, tmp_path):
+        trace, protos, _ = self._campaign(tmp_path)
+        rows = [(s + 1.0, e + 1.0, a, b) for s, e, a, b in CHAIN_ROWS]
+        shifted = micro_trace(rows, 4, name="chain")
+        assert shifted.name == trace.name
+        with pytest.raises(CheckpointError, match="fingerprint mismatch"):
+            self._resume(tmp_path, shifted, protos, self._sweep())
+
+    def test_same_name_larger_population_refused(self, tmp_path):
+        _, protos, _ = self._campaign(tmp_path)
+        bigger = micro_trace(CHAIN_ROWS, 6, name="chain")
+        with pytest.raises(CheckpointError, match="fingerprint mismatch"):
+            self._resume(tmp_path, bigger, protos, self._sweep())
+
+    def test_same_name_longer_horizon_refused(self, tmp_path):
+        trace, protos, _ = self._campaign(tmp_path)
+        longer = micro_trace(CHAIN_ROWS, 4, name="chain", horizon=trace.horizon + 1.0)
+        with pytest.raises(CheckpointError, match="fingerprint mismatch"):
+            self._resume(tmp_path, longer, protos, self._sweep())
+
+    @pytest.mark.parametrize("kernel", ["event", "soa"])
+    def test_mutated_kernel_resumes(self, tmp_path, kernel):
+        from repro.core.simulation import SimulationConfig
+
+        _, protos, result = self._campaign(tmp_path)
+        # an equal trace, rebuilt as a new object, is the same campaign
+        rebuilt = micro_trace(CHAIN_ROWS, 4, name="chain")
+        resumed = self._resume(
+            tmp_path, rebuilt, protos, self._sweep(SimulationConfig(kernel=kernel))
+        )
+        assert [repr(r) for r in resumed.runs] == [repr(r) for r in result.runs]

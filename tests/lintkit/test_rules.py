@@ -341,6 +341,8 @@ class TestScheduleClosure:
 
 # ------------------------------------------------------------------ HOT003
 
+FASTCONTACT = "src/repro/mobility/fastcontact.py"
+
 
 class TestKernelContactLoop:
     def test_fires_on_for_over_contact_column(self):
@@ -391,6 +393,36 @@ class TestKernelContactLoop:
             "def drive(starts_l) -> None:\n"
             "    for t in starts_l:  # lint: disable=HOT003\n"
             "        print(t)\n",
+        )
+
+    def test_fires_on_per_window_fold_in_the_extractor(self):
+        assert_fires(
+            "HOT003",
+            "def fold(starts, ends, na, nb_) -> list:\n"
+            "    out = []\n"
+            "    for s, e, i, j in zip(starts, ends, na, nb_):\n"
+            "        out.append((s, e, i, j))\n"
+            "    return out\n",
+            path=FASTCONTACT,
+        )
+
+    def test_fires_on_index_loop_over_window_column(self):
+        assert_fires(
+            "HOT003",
+            "def fold(na) -> None:\n"
+            "    for k in range(len(na)):\n"
+            "        print(k)\n",
+            path=FASTCONTACT,
+        )
+
+    def test_passes_on_offset_and_trajectory_loops_in_the_extractor(self):
+        assert_clean(
+            "HOT003",
+            "def join(uniq, trajectories) -> list:\n"
+            "    for ox, oy in _FORWARD_OFFSETS:\n"
+            "        print(uniq + ox + oy)\n"
+            "    return [t.t0 for t in trajectories]\n",
+            path=FASTCONTACT,
         )
 
 

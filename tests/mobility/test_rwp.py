@@ -91,6 +91,20 @@ class TestClassicRWP:
         with pytest.raises(ValueError):
             ClassicRWPConfig(min_speed=5.0, max_speed=1.0)
 
+    @pytest.mark.parametrize(
+        ("kwargs", "match"),
+        [
+            ({"num_nodes": 1}, "num_nodes"),
+            ({"horizon": 0.0}, "horizon"),
+            ({"horizon": -5.0}, "horizon"),
+            ({"comm_range": 0.0}, "comm_range"),
+            ({"comm_range": -1.0}, "comm_range"),
+        ],
+    )
+    def test_rejects_bad_values_at_construction(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            ClassicRWPConfig(**kwargs)
+
     def test_generates_deterministically(self):
         cfg = ClassicRWPConfig(num_nodes=5, horizon=20_000.0)
         a = ClassicRWP(cfg, seed=1).generate()

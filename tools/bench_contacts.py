@@ -2,9 +2,10 @@
 """Contact-extraction benchmark: vectorized vs scalar engine.
 
 Generates subscriber-point RWP trajectory sets at increasing population
-sizes, times :func:`repro.mobility.trajectory.contacts_from_trajectories`
-with the vectorized ``fast`` engine and (up to a per-scale node cap) the
-scalar ``exact`` reference, verifies the two traces agree, and writes the
+sizes (timed as ``trajectories_s``), times
+:func:`repro.mobility.trajectory.contacts_from_trajectories` with the
+vectorized ``fast`` engine and (up to a per-scale node cap) the scalar
+``exact`` reference, verifies the two traces agree, and writes the
 wall-times to a JSON report — the perf trajectory CI tracks over time.
 
 Usage:
@@ -95,7 +96,9 @@ def bench_population(
 ) -> dict[str, object]:
     """Extract one population's contacts with both engines and time them."""
     cfg = RWPConfig(num_nodes=num_nodes, horizon=horizon)
+    t0 = time.perf_counter()
     trajectories = SubscriberPointRWP(cfg, seed=seed).generate_trajectories()
+    trajectories_s = time.perf_counter() - t0
     segments = sum(len(t.segments) for t in trajectories)
 
     def run(engine: str) -> tuple[ContactTrace, float]:
@@ -114,6 +117,7 @@ def bench_population(
         "nodes": num_nodes,
         "segments": segments,
         "contacts": len(fast_trace),
+        "trajectories_s": round(trajectories_s, 4),
         "fast_s": round(fast_s, 4),
         "exact_s": None,
         "speedup": None,
@@ -167,6 +171,7 @@ def main(argv: list[str] | None = None) -> int:
         div_txt = f"{div:.2e}s" if div is not None else "—"
         print(
             f"  n={n:>5}  segments={row['segments']:>7}  contacts={row['contacts']:>8}  "
+            f"trajectories {row['trajectories_s']:6.2f}s  "
             f"fast {row['fast_s']:8.2f}s  exact {exact_s}  speedup {speedup:>6}  "
             f"divergence {div_txt}"
         )

@@ -27,8 +27,10 @@ HOT002    no per-event closure allocation: lambdas /
           ``at`` / ``after`` / ``push``
 HOT003    no Python-level per-contact ``for`` loops (incl.
           comprehensions) over the contact columns inside the SoA
-          sweep kernel — contact streams are swept with ``while`` +
-          vectorized chunk scans, never element-wise Python iteration
+          sweep kernel or the vectorized contact extractor — contact
+          streams are swept with ``while`` + vectorized chunk scans,
+          and candidate windows are folded with array operations,
+          never element-wise Python iteration
 SPEC001   every serialisable spec/config dataclass field must appear
           in its JSON round-trip (``to_dict`` *and* ``from_dict``),
           and every ``SimulationConfig`` knob must be mirrored by
@@ -552,33 +554,38 @@ class ScheduleClosureRule(Rule):
 
 
 class KernelContactLoopRule(Rule):
-    """The sweep kernel must never iterate contact columns element-wise.
+    """Contact-volume modules must never iterate contact columns element-wise.
 
     ``repro.core.sweepkernel`` exists to replace per-contact Python work
     with integer-mask probes and chunked NumPy scans; its hot loops are
     deliberately ``while``-based so the skip scan can jump the cursor in
-    bulk. A ``for`` loop (or comprehension) whose iterable names one of
-    the contact-stream columns reintroduces exactly the per-element
-    interpreter cost the kernel was built to elide — and tends to sneak
-    in via innocent-looking bookkeeping patches.
+    bulk. ``repro.mobility.fastcontact`` folds hundreds of thousands of
+    candidate windows per trace with array operations. A ``for`` loop (or
+    comprehension) whose iterable names one of the contact-stream or
+    window columns reintroduces exactly the per-element interpreter cost
+    these modules were built to elide — and tends to sneak in via
+    innocent-looking bookkeeping patches.
     """
 
     rule_id = "HOT003"
     severity = SEVERITY_ERROR
     description = (
-        "Python-level for loop over a contact column inside the sweep "
-        "kernel (use while + vectorized chunk scans)"
+        "Python-level for loop over a contact or window column in a "
+        "vectorized contact module (use while + chunk scans or array ops)"
     )
-    paths = ("src/repro/core/sweepkernel.py",)
+    paths = ("src/repro/core/sweepkernel.py", "src/repro/mobility/fastcontact.py")
 
     #: identifiers that name the contact-stream columns (module locals,
-    #: attributes, and the columnar-arrays tuple elements)
+    #: attributes, and the columnar-arrays tuple elements) and the
+    #: extractor's candidate, window and contact columns
     _CONTACT_NAMES = frozenset(
         {
             "contacts", "starts", "ends", "a_ids", "b_ids",
             "live", "live_starts", "live_ends", "live_a", "live_b",
             "_live_a", "_live_b", "starts_l", "ends_l", "a_l", "b_l",
             "zero_mask", "n_fire",
+            "windows", "na", "nb_", "pair_id", "pair_code", "prefix_max",
+            "c_s", "c_e", "c_a", "c_b", "a_seg", "b_seg",
         }
     )
 
@@ -603,9 +610,10 @@ class KernelContactLoopRule(Rule):
                     yield self.violation(
                         src,
                         it,
-                        f"per-contact Python iteration over {hits[0]!r}: the "
-                        "kernel sweeps contact columns with while-loops and "
-                        "chunked NumPy scans, never element-wise for loops",
+                        f"per-contact Python iteration over {hits[0]!r}: "
+                        "contact columns are swept with while-loops and "
+                        "chunked NumPy scans or folded with array "
+                        "operations, never element-wise for loops",
                     )
 
 
